@@ -9,8 +9,10 @@
 // the leader's own cores participate through a local worker loop, remote
 // workers pull over HTTP, and results flow back through reports and the
 // shared cache. Output stays byte-identical to a serial run — collection is
-// by index, not arrival order. -remote-cache chains a peer's cache behind
-// the local tiers for single-process runs too; -lru adds an in-memory tier.
+// by index, not arrival order. The leader's listener is the same serve
+// surface mssrv runs, so /healthz counts registered workers and /metrics
+// shows the queue. -remote-cache chains a peer's cache behind the local
+// tiers for single-process runs too; -lru adds an in-memory tier.
 //
 // Usage:
 //
@@ -46,9 +48,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -65,6 +65,7 @@ import (
 	"multiscalar/internal/obs"
 	"multiscalar/internal/obs/span"
 	_ "multiscalar/internal/policy" // register the policy zoo for -corpus
+	"multiscalar/internal/serve"
 	"multiscalar/internal/workloads"
 )
 
@@ -133,7 +134,8 @@ func main() {
 		dir = ""
 	}
 	var reg *obs.Registry
-	if *metricsOut != "" {
+	if *metricsOut != "" || *distAddr != "" {
+		// A leader exposes the registry on its /metrics.
 		reg = obs.NewRegistry()
 	}
 	var tracer *span.Tracer
@@ -183,23 +185,28 @@ func main() {
 		opts.Cache = cache
 	}
 
-	var d *distRun
+	var sched *dist.Scheduler
 	if *distAddr != "" {
-		var err error
-		d, err = startLeader(ctx, *distAddr, *lease, cache, reg, tracer)
+		sched = dist.NewScheduler(dist.SchedOptions{Lease: *lease, Metrics: reg, Tracer: tracer})
+		opts.Dispatcher = sched
+	}
+	eng := grid.New(opts)
+	var leader *serve.Server
+	if sched != nil {
+		leader, err = startLeader(*distAddr, serve.Config{
+			Engine: eng, Cache: opts.Cache, Tracer: tracer, Fleet: sched, Metrics: reg,
+			// Reports carry a result plus the worker's trace spans.
+			MaxBodyBytes: 8 << 20,
+		})
 		if err != nil {
 			fatal(err)
 		}
-		opts.Dispatcher = d.sched
-	}
-	eng := grid.New(opts)
-	if d != nil {
 		// The leader's own cores pull from the same scheduler as remote
 		// workers, via ComputeCtx — RunCtx already holds the job's
 		// single-flight leadership, so re-entering it would deadlock.
-		go d.sched.RunLocal(ctx, eng.Workers(), eng.ComputeCtx)
+		go sched.RunLocal(ctx, eng.Workers(), eng.ComputeCtx)
 	}
-	defer distSummary(d, remoteTier)
+	defer distSummary(sched, leader, remoteTier)
 	// LIFO defers: the trace finishes (root span ends, file written) before
 	// distSummary closes the scheduler, so worker spans are already ingested.
 	runName := *which
@@ -239,39 +246,40 @@ func main() {
 		return
 	}
 
-	needFig5 := *which == "fig5" || *which == "chart" || *which == "summary" || *which == "all"
-	var cells []experiment.Fig5Cell
-	if needFig5 {
-		var err error
-		cells, err = experiment.Figure5(r, puCounts, names)
+	var out string
+	switch *which {
+	case "fig5", "chart", "summary":
+		cells, err := experiment.Figure5(r, puCounts, names)
 		if err != nil {
 			fatalRun(ctx, err)
 		}
-	}
-	switch *which {
-	case "fig5":
-		fmt.Print(experiment.FormatFigure5(cells))
-	case "chart":
-		for _, n := range []int{4, 8} {
-			fmt.Print(experiment.ChartFigure5(cells, n, false))
-			fmt.Println()
+		switch *which {
+		case "fig5":
+			out = experiment.FormatFigure5(cells)
+		case "chart":
+			for _, n := range []int{4, 8} {
+				out += experiment.ChartFigure5(cells, n, false) + "\n"
+			}
+		case "summary":
+			out = experiment.FormatSummary(experiment.Summarize(cells))
 		}
-	case "summary":
-		fmt.Print(experiment.FormatSummary(experiment.Summarize(cells)))
 	case "table1":
-		printTable1(ctx, r, names)
+		rows, err := experiment.Table1(r, names)
+		if err != nil {
+			fatalRun(ctx, err)
+		}
+		out = experiment.FormatTable1(rows)
 	case "ablations":
-		printAblations(ctx, r, names)
+		out, err = experiment.Ablations(r, names)
 	case "all":
-		fmt.Print(experiment.FormatFigure5(cells))
-		fmt.Print(experiment.FormatSummary(experiment.Summarize(cells)))
-		fmt.Println()
-		printTable1(ctx, r, names)
-		fmt.Println()
-		printAblations(ctx, r, names)
+		out, err = experiment.Report(r, puCounts, names)
 	default:
 		fatal(fmt.Errorf("unknown experiment %q", *which))
 	}
+	if err != nil {
+		fatalRun(ctx, err)
+	}
+	fmt.Print(out)
 }
 
 // parseCorpus parses the -corpus argument "<seed>:<n>". The seed field is a
@@ -402,52 +410,6 @@ func trackProgress(eng *grid.Engine) (stop func()) {
 	}
 }
 
-func printTable1(ctx context.Context, r *experiment.Runner, names []string) {
-	rows, err := experiment.Table1(r, names)
-	if err != nil {
-		fatalRun(ctx, err)
-	}
-	fmt.Print(experiment.FormatTable1(rows))
-}
-
-func printAblations(ctx context.Context, r *experiment.Runner, names []string) {
-	if len(names) == 0 {
-		// Defaults chosen for sensitivity: perl/vortex expose the target
-		// limit, wave5 exercises the ARB and synchronization table, compress
-		// and tomcatv show the ring bandwidth.
-		names = []string{"compress", "perl", "vortex", "wave5", "tomcatv"}
-	}
-	targets, err := experiment.AblationTargets(r, names, nil)
-	if err != nil {
-		fatalRun(ctx, err)
-	}
-	fmt.Print(experiment.FormatAblation("hardware target limit N", targets))
-	fmt.Println()
-	syncRows, err := experiment.AblationSync(r, names)
-	if err != nil {
-		fatalRun(ctx, err)
-	}
-	fmt.Print(experiment.FormatAblation("memory dependence synchronization", syncRows))
-	fmt.Println()
-	ring, err := experiment.AblationRing(r, names, nil)
-	if err != nil {
-		fatalRun(ctx, err)
-	}
-	fmt.Print(experiment.FormatAblation("register ring bandwidth", ring))
-	fmt.Println()
-	banks, err := experiment.AblationBanks(r, names, nil)
-	if err != nil {
-		fatalRun(ctx, err)
-	}
-	fmt.Print(experiment.FormatAblation("L1 D-cache banks", banks))
-	fmt.Println()
-	greedy, err := experiment.AblationGreedy(r, names)
-	if err != nil {
-		fatalRun(ctx, err)
-	}
-	fmt.Print(experiment.FormatAblation("greedy vs first-fit task growth", greedy))
-}
-
 func splitList(s string) []string {
 	if s == "" {
 		return nil
@@ -461,31 +423,19 @@ func splitList(s string) []string {
 	return out
 }
 
-// distRun bundles the leader-side pieces of a distributed run.
-type distRun struct {
-	sched *dist.Scheduler
-	srv   *http.Server
-	addr  net.Addr
-}
-
-// startLeader listens for workers and mounts the scheduler + shared cache
-// on HTTP. The leader is up before any job is submitted, so workers can
-// register while the first experiment is still partitioning.
-func startLeader(ctx context.Context, addr string, lease time.Duration, cache grid.Cache, reg *obs.Registry, tracer *span.Tracer) (*distRun, error) {
-	sched := dist.NewScheduler(dist.SchedOptions{Lease: lease, Metrics: reg, Tracer: tracer})
-	leader := dist.NewLeader(sched, dist.LeaderOptions{
-		Cache:  cache,
-		Logger: log.New(os.Stderr, "msreport ", log.LstdFlags),
-		Tracer: tracer,
-	})
+// startLeader serves cfg — the scheduler, the shared cache, and the rest of
+// the serve surface over the leader's engine — to workers on addr. The
+// leader is up before any job is submitted, so workers can register while
+// the first experiment is still partitioning.
+func startLeader(addr string, cfg serve.Config) (*serve.Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("leader listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: leader.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	srv := serve.New(cfg)
 	go srv.Serve(ln)
 	fmt.Fprintf(os.Stderr, "msreport: leading distributed run on %s\n", ln.Addr())
-	return &distRun{sched: sched, srv: srv, addr: ln.Addr()}, nil
+	return srv, nil
 }
 
 // distSummary ends the distributed run and prints one machine-greppable
@@ -493,16 +443,18 @@ func startLeader(ctx context.Context, addr string, lease time.Duration, cache gr
 // closes the scheduler (workers observe closed on their next pull and
 // exit), waits briefly for them to drain, and only then tears down the
 // listener so no worker dies on a connection error.
-func distSummary(d *distRun, remote *dist.RemoteCache) {
-	if d != nil {
-		jobs := d.sched.WorkerJobs() // snapshot before Close deregisters
-		st := d.sched.Stats()
-		d.sched.Close()
+func distSummary(sched *dist.Scheduler, leader *serve.Server, remote *dist.RemoteCache) {
+	if sched != nil {
+		jobs := sched.WorkerJobs() // snapshot before Close deregisters
+		st := sched.Stats()
+		sched.Close()
 		deadline := time.Now().Add(3 * time.Second)
-		for d.sched.RemoteWorkers() > 0 && time.Now().Before(deadline) {
+		for sched.Stats().RemoteWorkers > 0 && time.Now().Before(deadline) {
 			time.Sleep(25 * time.Millisecond)
 		}
-		d.srv.Close()
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), time.Second)
+		leader.Shutdown(shutdownCtx)
+		cancel()
 
 		names := make([]string, 0, len(jobs))
 		for name := range jobs {

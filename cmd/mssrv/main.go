@@ -211,12 +211,6 @@ func main() {
 	}
 	if cache != nil {
 		cfg.Cache = cache
-		cfg.Backend = func(ctx context.Context) serve.BackendStatus {
-			return serve.BackendStatus{
-				CacheTiers:  tierStatus(cache.Health(ctx)),
-				DistWorkers: -1, // an mssrv instance leads no fleet
-			}
-		}
 	}
 	srv := serve.New(cfg)
 
@@ -327,15 +321,6 @@ func parseWeights(s string) (map[string]float64, error) {
 		out[name] = w
 	}
 	return out, nil
-}
-
-// tierStatus converts dist tier health into the serve wire shape.
-func tierStatus(hs []dist.TierHealth) []serve.CacheTierStatus {
-	out := make([]serve.CacheTierStatus, len(hs))
-	for i, h := range hs {
-		out[i] = serve.CacheTierStatus{Tier: h.Tier, OK: h.OK, Err: h.Err}
-	}
-	return out
 }
 
 func fatal(err error) {

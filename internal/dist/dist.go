@@ -18,12 +18,12 @@
 //     from the longest queue when idle, and hold time-bounded leases —
 //     a worker that dies mid-job is reaped and its jobs are reassigned.
 //
-//   - The worker protocol: a Leader mounts the scheduler and a cache over
-//     HTTP (/v1/dist/register, /v1/dist/pull, /v1/dist/report,
-//     /v1/cache/{key}, /healthz) and a Worker (mssrv -worker) registers,
-//     pulls jobs, executes them through its own grid.Engine — resolving the
-//     partition→simulate dependency locally and publishing results through
-//     the shared cache — and reports completion.
+//   - The worker protocol: the wire types a leader's serve.Server answers
+//     at /v1/dist/register, /v1/dist/pull, and /v1/dist/report (next to its
+//     /v1/cache/{key} and /healthz), and a Worker (mssrv -worker) that
+//     registers, pulls jobs, executes them through its own grid.Engine —
+//     resolving the partition→simulate dependency locally and publishing
+//     results through the shared cache — and reports completion.
 //
 // Determinism is preserved end to end: the scheduler only decides *where* a
 // job runs, the experiment layer still collects results into caller-indexed

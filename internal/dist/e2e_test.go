@@ -1,4 +1,4 @@
-package dist
+package dist_test
 
 import (
 	"context"
@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"multiscalar/internal/core"
+	"multiscalar/internal/dist"
 	"multiscalar/internal/grid"
+	"multiscalar/internal/serve"
 	"multiscalar/internal/sim"
 )
 
@@ -59,13 +61,12 @@ func TestDistributedEndToEnd(t *testing.T) {
 	// Distributed: leader engine + scheduler + HTTP surface.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sched := NewScheduler(SchedOptions{})
-	cache := NewTiered(NewLRU(256))
-	leader := NewLeader(sched, LeaderOptions{Cache: cache, PollWait: 50 * time.Millisecond})
-	ts := httptest.NewServer(leader.Handler())
+	sched := dist.NewScheduler(dist.SchedOptions{})
+	cache := dist.NewTiered(dist.NewLRU(256))
+	eng := grid.New(grid.Options{Workers: 2, Cache: cache, Dispatcher: sched})
+	ts := httptest.NewServer(serve.New(serve.Config{Engine: eng, Cache: cache, Fleet: sched}).Handler())
 	defer ts.Close()
 
-	eng := grid.New(grid.Options{Workers: 2, Cache: cache, Dispatcher: sched})
 	var localDone sync.WaitGroup
 	localDone.Add(1)
 	go func() {
@@ -77,9 +78,9 @@ func TestDistributedEndToEnd(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		weng := grid.New(grid.Options{
 			Workers: 2,
-			Cache:   NewTiered(NewLRU(256), NewRemoteCache(ts.URL, RemoteOptions{Backoff: time.Millisecond})),
+			Cache:   dist.NewTiered(dist.NewLRU(256), dist.NewRemoteCache(ts.URL, dist.RemoteOptions{Backoff: time.Millisecond})),
 		})
-		w, err := NewWorker(WorkerOptions{
+		w, err := dist.NewWorker(dist.WorkerOptions{
 			Leader:       ts.URL,
 			Engine:       weng,
 			Concurrency:  2,

@@ -96,7 +96,7 @@ type schedMetrics struct {
 
 // Scheduler is the leader-side work-stealing shard scheduler. It implements
 // grid.Dispatcher: the leader's engine submits every cache-missing
-// simulation job, workers pull and report over the Leader's HTTP surface
+// simulation job, workers pull and report over the leader's HTTP surface
 // (or in-process via RunLocal), and Dispatch callers block until the job's
 // first report. All state lives behind one mutex; waiting happens on
 // per-task channels, so the lock is never held across a job execution.
@@ -247,7 +247,7 @@ func (s *Scheduler) Pull(worker string) (key string, job grid.Job, sc span.SpanC
 	defer s.mu.Unlock()
 	if s.closed {
 		// The worker will exit on seeing closed; deregister it now so the
-		// leader can watch RemoteWorkers() drain to zero before tearing down
+		// leader can watch Stats().RemoteWorkers drain to zero before tearing down
 		// its listener.
 		if _, ok := s.workers[worker]; ok {
 			delete(s.workers, worker)
@@ -457,19 +457,6 @@ func (s *Scheduler) Stats() SchedStats {
 		st.Leased += len(w.leased)
 	}
 	return st
-}
-
-// RemoteWorkers reports the live remote worker count (for /healthz).
-func (s *Scheduler) RemoteWorkers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, w := range s.workers {
-		if w.remote {
-			n++
-		}
-	}
-	return n
 }
 
 // WorkerJobs reports per-worker completed-job counts (for the end-of-run

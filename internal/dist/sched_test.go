@@ -242,7 +242,7 @@ func TestCloseUnblocksWaiters(t *testing.T) {
 	if _, _, _, _, closed := s.Pull(w); !closed {
 		t.Error("post-Close pull did not say closed")
 	}
-	if s.RemoteWorkers() != 0 {
+	if s.Stats().RemoteWorkers != 0 {
 		t.Error("worker not deregistered after observing closed")
 	}
 }

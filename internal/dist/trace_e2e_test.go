@@ -1,4 +1,4 @@
-package dist
+package dist_test
 
 import (
 	"context"
@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"multiscalar/internal/core"
+	"multiscalar/internal/dist"
 	"multiscalar/internal/grid"
 	"multiscalar/internal/obs/span"
+	"multiscalar/internal/serve"
 	"multiscalar/internal/sim"
 )
 
@@ -22,21 +24,20 @@ func traceHarness(t *testing.T, nWorkers int) (*span.Tracer, *grid.Engine, func(
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	tr := span.New(span.Options{Process: "leader", MaxSpansPerTrace: 4096})
-	sched := NewScheduler(SchedOptions{Tracer: tr})
-	cache := NewTiered(NewLRU(256))
-	leader := NewLeader(sched, LeaderOptions{
-		Cache: cache, PollWait: 50 * time.Millisecond, Tracer: tr,
-	})
-	ts := httptest.NewServer(leader.Handler())
+	sched := dist.NewScheduler(dist.SchedOptions{Tracer: tr})
+	cache := dist.NewTiered(dist.NewLRU(256))
 	eng := grid.New(grid.Options{Workers: 2, Cache: cache, Dispatcher: sched})
+	ts := httptest.NewServer(serve.New(serve.Config{
+		Engine: eng, Cache: cache, Fleet: sched, Tracer: tr,
+	}).Handler())
 
 	workerErrs := make(chan error, nWorkers)
 	for i := 0; i < nWorkers; i++ {
 		weng := grid.New(grid.Options{
 			Workers: 2,
-			Cache:   NewTiered(NewLRU(256), NewRemoteCache(ts.URL, RemoteOptions{Backoff: time.Millisecond})),
+			Cache:   dist.NewTiered(dist.NewLRU(256), dist.NewRemoteCache(ts.URL, dist.RemoteOptions{Backoff: time.Millisecond})),
 		})
-		w, err := NewWorker(WorkerOptions{
+		w, err := dist.NewWorker(dist.WorkerOptions{
 			Leader:       ts.URL,
 			Engine:       weng,
 			Concurrency:  2,

@@ -126,7 +126,7 @@ func AblationBanks(r *Runner, names []string, banks []int) ([]AblationRow, error
 func AblationGreedy(r *Runner, names []string) ([]AblationRow, error) {
 	return sweep(r.context(), len(names)*2, func(i int) (AblationRow, error) {
 		name, noGreedy := names[i/2], i%2 == 1
-		res, err := r.Engine().Run(grid.Job{
+		res, err := r.eng.RunCtx(r.context(), grid.Job{
 			Workload: name,
 			Select:   core.Options{Heuristic: core.ControlFlow, NoGreedy: noGreedy},
 			Config:   sim.DefaultConfig(8),
@@ -156,7 +156,7 @@ func AblationThresh(r *Runner, names []string, threshes []int) ([]AblationRow, e
 	}
 	return sweep(r.context(), len(names)*len(threshes), func(i int) (AblationRow, error) {
 		name, th := names[i/len(threshes)], threshes[i%len(threshes)]
-		res, err := r.Engine().Run(grid.Job{
+		res, err := r.eng.RunCtx(r.context(), grid.Job{
 			Workload: name,
 			Select: core.Options{
 				Heuristic:  core.DataDependence,
@@ -187,4 +187,56 @@ func FormatAblation(title string, rows []AblationRow) string {
 		fmt.Fprintf(&sb, "%-10s %-12s %8.3f  %s\n", row.Workload, row.Label, row.IPC, row.Extra)
 	}
 	return sb.String()
+}
+
+// Ablations renders the five hardware and selection ablations in msreport's
+// layout. Empty names selects the defaults chosen for sensitivity:
+// perl/vortex expose the target limit, wave5 exercises the ARB and
+// synchronization table, compress and tomcatv show the ring bandwidth.
+func Ablations(r *Runner, names []string) (string, error) {
+	if len(names) == 0 {
+		names = []string{"compress", "perl", "vortex", "wave5", "tomcatv"}
+	}
+	sections := []struct {
+		title string
+		run   func() ([]AblationRow, error)
+	}{
+		{"hardware target limit N", func() ([]AblationRow, error) { return AblationTargets(r, names, nil) }},
+		{"memory dependence synchronization", func() ([]AblationRow, error) { return AblationSync(r, names) }},
+		{"register ring bandwidth", func() ([]AblationRow, error) { return AblationRing(r, names, nil) }},
+		{"L1 D-cache banks", func() ([]AblationRow, error) { return AblationBanks(r, names, nil) }},
+		{"greedy vs first-fit task growth", func() ([]AblationRow, error) { return AblationGreedy(r, names) }},
+	}
+	var sb strings.Builder
+	for i, sec := range sections {
+		rows, err := sec.run()
+		if err != nil {
+			return "", err
+		}
+		if i > 0 {
+			sb.WriteString("\n")
+		}
+		sb.WriteString(FormatAblation(sec.title, rows))
+	}
+	return sb.String(), nil
+}
+
+// Report renders the full evaluation exactly as msreport -experiment all
+// prints it (and as report_full.txt pins it): Figure 5, the summary claims,
+// Table 1, and the ablations.
+func Report(r *Runner, pus []int, names []string) (string, error) {
+	cells, err := Figure5(r, pus, names)
+	if err != nil {
+		return "", err
+	}
+	rows, err := Table1(r, names)
+	if err != nil {
+		return "", err
+	}
+	ablations, err := Ablations(r, names)
+	if err != nil {
+		return "", err
+	}
+	return FormatFigure5(cells) + FormatSummary(Summarize(cells)) + "\n" +
+		FormatTable1(rows) + "\n" + ablations, nil
 }

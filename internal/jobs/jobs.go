@@ -106,6 +106,8 @@ type Record struct {
 	Attempts int             `json:"attempts"`
 	Result   json.RawMessage `json:"result,omitempty"`
 	Error    string          `json:"error,omitempty"`
+	// Rev counts journaled state changes; replay keeps each job's highest.
+	Rev int64 `json:"rev,omitempty"`
 }
 
 // Event is one entry in a job's ordered progress stream. Seq starts at 1 and

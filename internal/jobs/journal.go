@@ -11,8 +11,9 @@ import (
 
 // journalEntry is one line of the on-disk journal: a schema stamp plus a
 // full record snapshot. Snapshots (rather than deltas) make replay trivially
-// idempotent — the last line for an ID wins — and make a torn final line
-// (the kill -9 case) droppable without losing anything but that one write.
+// idempotent — the highest-revision line for an ID wins — and make a torn
+// final line (the kill -9 case) droppable without losing anything but that
+// one write.
 type journalEntry struct {
 	Schema int    `json:"schema"`
 	Record Record `json:"record"`
@@ -68,11 +69,11 @@ func (j *journal) close() error {
 }
 
 // replayJournal reads the journal under dir and returns the surviving
-// records in first-seen order (last snapshot per ID wins). Corrupt or
-// torn lines — the expected debris of a kill -9 — and entries from other schema
-// versions are skipped, not errors: the journal is a recovery aid, and the
-// worst case of a dropped line is recomputing one job. A missing file is an
-// empty history.
+// records in first-seen order (per ID, the highest-revision snapshot wins,
+// the later line on a tie). Corrupt or torn lines — the expected debris of
+// a kill -9 — and entries from other schema versions are skipped, not
+// errors: the journal is a recovery aid, and the worst case of a dropped
+// line is recomputing one job. A missing file is an empty history.
 func replayJournal(dir string) ([]Record, error) {
 	f, err := os.Open(journalPath(dir))
 	if os.IsNotExist(err) {
@@ -98,7 +99,9 @@ func replayJournal(dir string) ([]Record, error) {
 			continue
 		}
 		if i, ok := byID[e.Record.ID]; ok {
-			order[i] = e.Record
+			if e.Record.Rev >= order[i].Rev {
+				order[i] = e.Record
+			}
 			continue
 		}
 		byID[e.Record.ID] = len(order)

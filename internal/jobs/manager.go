@@ -58,9 +58,18 @@ type Options struct {
 type jobState struct {
 	rec      Record
 	events   []Event
+	final    bool          // events ends with the terminal result or error
 	notify   chan struct{} // closed and replaced on every append
 	cancel   context.CancelFunc
 	canceled bool // explicit DELETE, distinguishes cancel from shutdown
+}
+
+// snapshot bumps the record's revision and returns the copy to journal;
+// callers hold m.mu. Journal appends happen after the lock is released, so
+// two snapshots can land out of order — replay keeps the highest revision.
+func (st *jobState) snapshot() Record {
+	st.rec.Rev++
+	return st.rec
 }
 
 // jobMetrics is the ms_jobs_* catalog, resolved once at NewManager.
@@ -151,7 +160,11 @@ func NewManager(opts Options) (*Manager, error) {
 			st := &jobState{rec: rec, notify: make(chan struct{})}
 			switch {
 			case rec.State.Terminal():
-				// Served as-is; its result survived the restart.
+				// Served as-is; its result survived the restart, its event
+				// log did not: the stream replays just the terminal event.
+				name, data := finalEvent(rec)
+				st.events = []Event{{Seq: 1, Name: name, Data: data}}
+				st.final = true
 			default:
 				// queued stays queued; running was interrupted — either by a
 				// graceful shutdown (which already journaled it back to
@@ -288,7 +301,8 @@ func (m *Manager) Submit(tenant string, spec Spec) (Record, bool, error) {
 			st.rec.Result = nil
 			st.rec.Finished = time.Time{}
 			st.canceled = false
-			rec := st.rec
+			st.final = false
+			rec := st.snapshot()
 			m.queue.enqueue(tenant, id, m.cost(spec), now)
 			m.mu.Unlock()
 			m.persist(rec)
@@ -305,7 +319,7 @@ func (m *Manager) Submit(tenant string, spec Spec) (Record, bool, error) {
 	}
 	m.jobs[id] = st
 	m.evictLocked()
-	rec := st.rec
+	rec := st.snapshot()
 	m.queue.enqueue(tenant, id, m.cost(spec), now)
 	m.mu.Unlock()
 	m.persist(rec)
@@ -395,10 +409,10 @@ func (m *Manager) Cancel(id string) (Record, bool) {
 			st.rec.Error = "canceled before execution"
 			st.rec.Finished = time.Now()
 			st.canceled = true
-			rec := st.rec
+			rec := st.snapshot()
 			m.mu.Unlock()
 			m.persist(rec)
-			m.finalizeEvent(id, "error", map[string]any{"code": "canceled", "message": rec.Error})
+			m.appendFinal(rec)
 			if m.m != nil {
 				m.m.canceled.Inc()
 			}
@@ -445,9 +459,10 @@ func (m *Manager) Stats() Stats {
 }
 
 // EventsSince returns the job's events with Seq > after, a channel that
-// closes when another event arrives, and whether the job is terminal. The
-// SSE handler loops on it: drain, flush, wait — and a client that
-// reconnects with Last-Event-ID=N simply calls EventsSince(id, N).
+// closes when another event arrives, and whether the stream is complete
+// (its terminal event is in; the state turns terminal a journal write
+// earlier). The SSE handler loops on it: drain, flush, wait — and a client
+// that reconnects with Last-Event-ID=N simply calls EventsSince(id, N).
 func (m *Manager) EventsSince(id string, after int64) (evs []Event, more <-chan struct{}, terminal bool, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -460,11 +475,12 @@ func (m *Manager) EventsSince(id string, after int64) (evs []Event, more <-chan 
 			evs = append(evs, e)
 		}
 	}
-	return evs, st.notify, st.rec.State.Terminal(), true
+	return evs, st.notify, st.final, true
 }
 
-// appendEvent appends one event to a job's stream and wakes watchers.
-func (m *Manager) appendEvent(id, name string, data json.RawMessage) {
+// appendEvent appends one event to a job's stream and wakes watchers; a
+// final event completes the stream.
+func (m *Manager) appendEvent(id, name string, data json.RawMessage, final bool) {
 	m.mu.Lock()
 	st, ok := m.jobs[id]
 	if !ok {
@@ -472,19 +488,32 @@ func (m *Manager) appendEvent(id, name string, data json.RawMessage) {
 		return
 	}
 	st.events = append(st.events, Event{Seq: int64(len(st.events)) + 1, Name: name, Data: data})
+	st.final = final
 	old := st.notify
 	st.notify = make(chan struct{})
 	m.mu.Unlock()
 	close(old)
 }
 
-// finalizeEvent marshals and appends a terminal event.
-func (m *Manager) finalizeEvent(id, name string, v any) {
-	blob, err := json.Marshal(v)
-	if err != nil {
-		blob = []byte(`{}`)
+// appendFinal completes a terminal job's stream. Callers journal the record
+// first, so an outcome a client has seen survives a crash.
+func (m *Manager) appendFinal(rec Record) {
+	name, data := finalEvent(rec)
+	m.appendEvent(rec.ID, name, data, true)
+}
+
+// finalEvent is the event that closes a terminal job's stream: the result
+// for a done job, a coded error otherwise.
+func finalEvent(rec Record) (name string, data json.RawMessage) {
+	if rec.State == StateDone {
+		return "result", rec.Result
 	}
-	m.appendEvent(id, name, blob)
+	code := "failed"
+	if rec.State == StateCanceled {
+		code = "canceled"
+	}
+	blob, _ := json.Marshal(map[string]string{"code": code, "message": rec.Error})
+	return "error", blob
 }
 
 // persist journals one record snapshot (no-op without a journal). Append
@@ -530,7 +559,7 @@ func (m *Manager) run(ctx context.Context, id string) {
 	st.rec.State = StateRunning
 	st.rec.Started = time.Now()
 	st.rec.Attempts++
-	rec := st.rec
+	rec := st.snapshot()
 	exec := m.opt.Executors[rec.Spec.Kind]
 	m.mu.Unlock()
 	defer cancel()
@@ -550,7 +579,7 @@ func (m *Manager) run(ctx context.Context, id string) {
 		if err != nil {
 			return
 		}
-		m.appendEvent(id, name, blob)
+		m.appendEvent(id, name, blob, false)
 	}
 	t0 := time.Now()
 	out, err := exec(jobCtx, rec.Spec, emit)
@@ -593,7 +622,7 @@ func (m *Manager) finish(id string, out any, err error) {
 		// Shutdown, not cancellation: back to queued so the journal resumes
 		// it on the next start. No terminal event — the job is not over.
 		st.rec.State = StateQueued
-		rec := st.rec
+		rec := st.snapshot()
 		m.mu.Unlock()
 		m.persist(rec)
 		if m.m != nil {
@@ -610,23 +639,17 @@ func (m *Manager) finish(id string, out any, err error) {
 		st.rec.Error = err.Error()
 		st.rec.Finished = now
 	}
-	rec := st.rec
+	rec := st.snapshot()
 	m.mu.Unlock()
 	m.persist(rec)
-	switch rec.State {
-	case StateDone:
-		m.appendEvent(id, "result", rec.Result)
-		if m.m != nil {
+	m.appendFinal(rec)
+	if m.m != nil {
+		switch rec.State {
+		case StateDone:
 			m.m.done.Inc()
-		}
-	case StateCanceled:
-		m.finalizeEvent(id, "error", map[string]any{"code": "canceled", "message": rec.Error})
-		if m.m != nil {
+		case StateCanceled:
 			m.m.canceled.Inc()
-		}
-	default:
-		m.finalizeEvent(id, "error", map[string]any{"code": "failed", "message": rec.Error})
-		if m.m != nil {
+		default:
 			m.m.failed.Inc()
 		}
 	}

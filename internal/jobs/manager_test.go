@@ -434,6 +434,35 @@ func TestJournalTolerantOfTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalReplayKeepsNewestRevision: snapshots are appended after the
+// manager lock is released, so a submission's queued snapshot can land
+// after the runner's done snapshot. Replay must keep the newer revision,
+// not the later line, or a finished job runs again after a restart.
+func TestJournalReplayKeepsNewestRevision(t *testing.T) {
+	dir := t.TempDir()
+	j, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := Record{ID: IDFor(specFor("echo", `{}`)), Spec: specFor("echo", `{}`),
+		Tenant: "a", State: StateQueued, Created: time.Now().UTC(), Rev: 1}
+	done := queued
+	done.State, done.Result, done.Attempts, done.Rev = StateDone, json.RawMessage(`"ok"`), 1, 3
+	for _, rec := range []Record{done, queued} {
+		if err := j.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.close()
+	recs, err := replayJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].State != StateDone || recs[0].Rev != 3 {
+		t.Fatalf("replay = %+v, want the done snapshot (rev 3)", recs)
+	}
+}
+
 func TestEvictionKeepsLiveJobs(t *testing.T) {
 	release := make(chan struct{})
 	m, err := NewManager(Options{
@@ -526,4 +555,75 @@ func TestStats(t *testing.T) {
 	}
 	close(release)
 	waitFor(t, "all done", func() bool { return m.Stats().Done == 2 })
+}
+
+// TestStreamEndsWithTerminalEvent: a finishing job turns terminal a moment
+// before its result event lands — the journal fsync sits in between. A
+// stream read in that window must keep waiting instead of closing without
+// the result. The test holds the journal's lock (a stalled fsync) to park
+// the job exactly there.
+func TestStreamEndsWithTerminalEvent(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	m, err := NewManager(Options{
+		Runners: 1,
+		Dir:     t.TempDir(),
+		Executors: map[string]Executor{
+			"gate": func(ctx context.Context, spec Spec, emit EmitFunc) (any, error) {
+				close(entered)
+				<-release
+				return "answer", nil
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m.Start(ctx)
+
+	rec, _, _ := m.Submit("a", specFor("gate", `{}`))
+	<-entered
+	m.journal.mu.Lock() // the next journal write — the terminal record — stalls
+	close(release)
+	waitFor(t, "terminal state", func() bool {
+		r, _ := m.Get(rec.ID)
+		return r.State == StateDone
+	})
+
+	// A reader in the window: the SSE handler's loop, minus the transport.
+	streamed := make(chan []Event, 1)
+	go func() {
+		var all []Event
+		var after int64
+		for {
+			evs, more, terminal, ok := m.EventsSince(rec.ID, after)
+			if !ok {
+				break
+			}
+			all = append(all, evs...)
+			if len(evs) > 0 {
+				after = evs[len(evs)-1].Seq
+			}
+			if terminal {
+				break
+			}
+			<-more
+		}
+		streamed <- all
+	}()
+	select {
+	case evs := <-streamed:
+		m.journal.mu.Unlock()
+		t.Fatalf("stream closed before the terminal record was journaled, with events %+v", evs)
+	case <-time.After(50 * time.Millisecond):
+	}
+	m.journal.mu.Unlock()
+
+	evs := <-streamed
+	if len(evs) == 0 || evs[len(evs)-1].Name != "result" || string(evs[len(evs)-1].Data) != `"answer"` {
+		t.Fatalf("stream = %+v, want it to end with the result event", evs)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"multiscalar/internal/dist"
 	"multiscalar/internal/grid"
 	"multiscalar/internal/sim"
 )
@@ -109,20 +110,15 @@ func TestCacheEndpointsWithoutCache(t *testing.T) {
 	}
 }
 
-// TestHealthzBackend: the health body carries the Backend probe's answer,
-// and an unreachable tier degrades the reported status without failing the
-// probe (the server still serves — every tier is fail-open).
+// TestHealthzBackend: a tiered cache reports every tier's reachability on
+// /healthz, an unreachable tier degrades the reported status without
+// failing the probe (the server still serves — every tier is fail-open),
+// and a server that leads no fleet counts -1 dist workers.
 func TestHealthzBackend(t *testing.T) {
-	backend := BackendStatus{
-		CacheTiers: []CacheTierStatus{
-			{Tier: "lru", OK: true},
-			{Tier: "remote", OK: false, Err: "connection refused"},
-		},
-		DistWorkers: -1,
-	}
-	srv, _ := newTestServer(t, grid.Options{Workers: 1}, Config{
-		Backend: func(context.Context) BackendStatus { return backend },
-	})
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close() // its URL now refuses connections
+	cache := dist.NewTiered(dist.NewLRU(8), dist.NewRemoteCache(dead.URL, dist.RemoteOptions{Retries: -1}))
+	srv, _ := newTestServer(t, grid.Options{Workers: 1}, Config{Cache: cache})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -140,7 +136,11 @@ func TestHealthzBackend(t *testing.T) {
 	if h.Backend == nil || len(h.Backend.CacheTiers) != 2 {
 		t.Fatalf("backend = %+v, want both tiers reported", h.Backend)
 	}
-	if h.Backend.CacheTiers[1].Err != "connection refused" {
-		t.Errorf("tier error %q not propagated", h.Backend.CacheTiers[1].Err)
+	if tiers := h.Backend.CacheTiers; tiers[0] != (dist.TierHealth{Tier: "lru", OK: true}) ||
+		tiers[1].Tier != "remote" || tiers[1].OK || tiers[1].Err == "" {
+		t.Errorf("tiers = %+v, want lru ok and remote down with its error", tiers)
+	}
+	if h.Backend.DistWorkers != -1 {
+		t.Errorf("dist_workers = %d, want -1 on a server that leads no fleet", h.Backend.DistWorkers)
 	}
 }

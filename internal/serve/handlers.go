@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"multiscalar/internal/core"
+	"multiscalar/internal/dist"
 	"multiscalar/internal/experiment"
 	"multiscalar/internal/gen"
 	"multiscalar/internal/grid"
@@ -95,9 +96,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			OldestQueuedMS: js.OldestQueued.Milliseconds(),
 		}
 	}
-	if s.cfg.Backend != nil {
-		b := s.cfg.Backend(r.Context())
-		resp.Backend = &b
+	tiered, _ := s.cfg.Cache.(*dist.Tiered)
+	if tiered != nil || s.cfg.Fleet != nil {
+		b := &BackendStatus{DistWorkers: -1}
+		if tiered != nil {
+			b.CacheTiers = tiered.Health(r.Context())
+		}
+		if s.cfg.Fleet != nil {
+			b.DistWorkers = s.cfg.Fleet.Stats().RemoteWorkers
+		}
+		resp.Backend = b
 		// An unreachable cache tier degrades the report (the server still
 		// works — every tier is fail-open) but keeps the 200: load balancers
 		// should not pull a node that merely lost its remote cache.

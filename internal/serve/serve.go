@@ -4,7 +4,11 @@
 // program from a seed and shape parameters, named for reuse by the other
 // endpoints), POST /v1/experiment (named figure/table/corpus sweep with
 // Server-Sent-Events progress), GET /healthz, and GET /metrics (Prometheus
-// text exposition).
+// text exposition). GET/PUT /v1/cache/{key} share results with peers by
+// content address, and a server built with a Config.Fleet leads a
+// distributed run: mssrv -worker processes register, long-poll for jobs,
+// and report results at POST /v1/dist/register, /v1/dist/pull, and
+// /v1/dist/report.
 //
 // Every request executes through one shared grid.Engine, so identical
 // concurrent requests coalesce into a single simulation and warm-cache
@@ -30,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"multiscalar/internal/dist"
 	"multiscalar/internal/grid"
 	"multiscalar/internal/jobs"
 	"multiscalar/internal/obs"
@@ -58,12 +63,15 @@ type Config struct {
 	// Cache, when non-nil, backs GET/PUT /v1/cache/{key} so peers — remote
 	// cache tiers on workers, other mssrv instances — can probe and publish
 	// artifacts by content address. Wire the same cache the engine uses, or
-	// the peers' view diverges from local compute. Nil answers 404.
+	// the peers' view diverges from local compute. Nil answers 404. A
+	// *dist.Tiered cache also reports per-tier reachability on /healthz.
 	Cache grid.Cache
-	// Backend, when non-nil, contributes cache-tier reachability and dist
-	// worker counts to GET /healthz. It must be cheap — it runs on every
-	// health probe.
-	Backend func(ctx context.Context) BackendStatus
+	// Fleet, when non-nil, makes this server a distributed-run leader: it
+	// mounts the worker protocol (POST /v1/dist/register, /v1/dist/pull,
+	// /v1/dist/report) on the scheduler, and /healthz counts its remote
+	// workers. The Engine should dispatch to the same scheduler. Nil answers
+	// 404 on the protocol routes.
+	Fleet *dist.Scheduler
 	// Logger receives structured access lines and internal errors (nil =
 	// discard). Handing it a JSON handler makes every line machine-parseable;
 	// traced requests carry a trace_id attribute either way.
@@ -187,6 +195,19 @@ func New(cfg Config) *Server {
 		"/healthz":       http.MethodGet,
 		"/metrics":       http.MethodGet,
 	}
+	// The worker protocol skips the gate too: a pull is a long-poll that
+	// would hold a slot while idle, and a shed report strands a finished job
+	// until its lease expires.
+	if cfg.Fleet != nil {
+		for verb, h := range map[string]http.HandlerFunc{
+			"register": s.handleDistRegister,
+			"pull":     s.handleDistPull,
+			"report":   s.handleDistReport,
+		} {
+			mux.HandleFunc("POST /v1/dist/"+verb, h)
+			methods["/v1/dist/"+verb] = http.MethodPost
+		}
+	}
 	if s.tracer != nil {
 		methods["/debug/traces"] = http.MethodGet
 		methods["/debug/requests"] = http.MethodGet
@@ -237,17 +258,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // middleware wraps every request with panic recovery, request counting,
 // latency observation, one structured access-log line, and — on /v1 routes
-// of a traced server — the request's root span. An incoming X-Ms-Trace
-// header links this process's span tree into the caller's trace; the span
-// context always echoes back on the response header so the client can fetch
-// the finished trace from /debug/traces/{id}.
+// of a traced server, bar /v1/dist, where each idle long-poll would become
+// a trace — the request's root span. An incoming X-Ms-Trace header links
+// this process's span tree into the caller's trace; the span context always
+// echoes back on the response header so the client can fetch the finished
+// trace from /debug/traces/{id}.
 func (s *Server) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		rw := &responseWriter{ResponseWriter: w}
 		s.m.requests.Inc()
 		var sp *span.Span
-		if s.tracer != nil && strings.HasPrefix(r.URL.Path, "/v1/") {
+		if s.tracer != nil && strings.HasPrefix(r.URL.Path, "/v1/") && !strings.HasPrefix(r.URL.Path, "/v1/dist/") {
 			parent, _ := span.ParseHeader(r.Header.Get(span.Header))
 			var ctx context.Context
 			ctx, sp = s.tracer.StartLinked(r.Context(), parent, "serve.request")

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"multiscalar/internal/core"
+	"multiscalar/internal/dist"
 	"multiscalar/internal/experiment"
 	"multiscalar/internal/gen"
 	"multiscalar/internal/sim"
@@ -50,6 +51,9 @@ func (o SelectOptions) core() (core.Options, error) {
 	}
 	if o.MaxTargets < 0 || o.CallThresh < 0 || o.LoopThresh < 0 {
 		return core.Options{}, fmt.Errorf("select thresholds must be non-negative")
+	}
+	if o.MaxTargets > maxTargets {
+		return core.Options{}, fmt.Errorf("max_targets %d above the limit %d", o.MaxTargets, maxTargets)
 	}
 	if o.SizeBudget < 0 || o.CommBudget < 0 {
 		return core.Options{}, fmt.Errorf("policy budgets must be non-negative")
@@ -101,9 +105,15 @@ type MachineConfig struct {
 	L1DBanks int `json:"l1d_banks,omitempty"`
 }
 
-// maxPUs bounds accepted machine sizes: a request is rejected up front
-// rather than tying a worker to an absurd simulation.
-const maxPUs = 64
+// Upper bounds on the machine point: a request is rejected up front rather
+// than tying a worker to an absurd simulation, or minting a fresh cache key
+// for every out-of-range value.
+const (
+	maxPUs     = 64
+	maxRingBW  = 64
+	maxBanks   = 64
+	maxTargets = 16 // the ablations sweep up to 8
+)
 
 func (m MachineConfig) config() (sim.Config, error) {
 	pus := m.PUs
@@ -115,6 +125,14 @@ func (m MachineConfig) config() (sim.Config, error) {
 	}
 	if m.RingBW < 0 || m.MaxTargets < 0 || m.L1DBanks < 0 {
 		return sim.Config{}, fmt.Errorf("machine overrides must be non-negative")
+	}
+	switch {
+	case m.RingBW > maxRingBW:
+		return sim.Config{}, fmt.Errorf("ring_bw %d above the limit %d", m.RingBW, maxRingBW)
+	case m.MaxTargets > maxTargets:
+		return sim.Config{}, fmt.Errorf("max_targets %d above the limit %d", m.MaxTargets, maxTargets)
+	case m.L1DBanks > maxBanks:
+		return sim.Config{}, fmt.Errorf("l1d_banks %d above the limit %d", m.L1DBanks, maxBanks)
 	}
 	cfg := sim.DefaultConfig(pus)
 	cfg.InOrder = m.InOrder
@@ -339,7 +357,7 @@ type HealthResponse struct {
 	Inflight int    `json:"inflight"`
 	Workers  int    `json:"workers"`
 	// Backend reports storage and fleet state when the server was wired
-	// with a Config.Backend probe (mssrv always wires one).
+	// with a tiered Config.Cache or a Config.Fleet.
 	Backend *BackendStatus `json:"backend,omitempty"`
 	// Jobs reports the async job subsystem when Config.Jobs is wired.
 	Jobs *JobsStatus `json:"jobs,omitempty"`
@@ -349,19 +367,10 @@ type HealthResponse struct {
 // HealthResponse, so operators see more than the drain state: which cache
 // tiers are reachable and how many distributed workers are registered.
 type BackendStatus struct {
-	CacheTiers []CacheTierStatus `json:"cache_tiers,omitempty"`
+	CacheTiers []dist.TierHealth `json:"cache_tiers,omitempty"`
 	// DistWorkers counts registered remote workers (-1 = this server is not
 	// a dist leader, so there is no fleet to count).
 	DistWorkers int `json:"dist_workers"`
-}
-
-// CacheTierStatus is one cache tier's reachability snapshot. It mirrors
-// dist.TierHealth field-for-field without importing it: serve stays
-// agnostic of how the cache behind it is composed.
-type CacheTierStatus struct {
-	Tier string `json:"tier"`
-	OK   bool   `json:"ok"`
-	Err  string `json:"err,omitempty"`
 }
 
 // ErrorBody is the structured error shape every non-2xx JSON response uses:
