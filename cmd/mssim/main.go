@@ -13,8 +13,10 @@
 // instant markers for squashes, restarts, ARB overflows, mispredictions,
 // sync waits, and register ring traffic. -metrics prints the simulator and
 // grid metrics snapshot after the run in Prometheus text format (the same
-// exposition mssrv's /metrics serves). Observed runs always simulate — the
-// result cache is not consulted (a cache hit would have no events to trace).
+// exposition mssrv's /metrics serves). -timeline N prints a Gantt chart of
+// the first N task instances. All three are computed from one run's event
+// stream, so they always simulate — the result cache is not consulted (a
+// cache hit would have no events).
 package main
 
 import (
@@ -85,7 +87,6 @@ func main() {
 	cfg := sim.DefaultConfig(*pus)
 	cfg.InOrder = *inorder
 	cfg.SyncTable = !*noSync
-	cfg.RecordTimeline = *timeline > 0
 	sel := core.Options{Heuristic: h, TaskSize: *taskSize}
 
 	// SIGINT/SIGTERM (and -timeout, if set) cancel the run's context: a job
@@ -99,9 +100,8 @@ func main() {
 		defer cancel()
 	}
 
-	observed := *traceOut != "" || *metrics
 	var reg *obs.Registry
-	if observed {
+	if *metrics {
 		reg = obs.NewRegistry()
 	}
 	eng := grid.New(grid.Options{Workers: 1, CacheDir: *cacheDir, Metrics: reg})
@@ -115,20 +115,16 @@ func main() {
 
 	var res *sim.Result
 	var col *obs.Collector
-	if observed {
-		// Tracing needs the event stream of a live run, so skip the result
-		// cache and drive the simulator directly (the partition still goes
-		// through the engine and its memo).
+	if *traceOut != "" || *metrics || *timeline > 0 {
+		// These outputs need the event stream of a live run, so skip the
+		// result cache and drive the simulator directly (the partition still
+		// goes through the engine and its memo).
 		part, err := eng.PartitionCtx(ctx, w.Name, sel)
 		if err != nil {
 			fatalRun(ctx, err)
 		}
-		ob := sim.Observer{Metrics: reg}
-		if *traceOut != "" {
-			col = &obs.Collector{}
-			ob.Tracer = col
-		}
-		res, err = sim.RunObserved(part, cfg, ob)
+		col = &obs.Collector{}
+		res, err = sim.RunObserved(part, cfg, col)
 		if err != nil {
 			fatal(err)
 		}
@@ -167,9 +163,10 @@ func main() {
 	fmt.Printf("  control penalty      %12d\n", b.CtrlPenalty)
 	fmt.Printf("  memory penalty       %12d\n", b.MemPenalty)
 	if *timeline > 0 {
+		tl := sim.TimelineOf(col.Events)
 		fmt.Printf("\nPU occupancy %.1f%%; first %d task instances:\n",
-			100*res.Timeline.Utilization(*pus), *timeline)
-		fmt.Print(sim.FormatTimeline(res.Timeline, *timeline))
+			100*tl.Utilization(*pus), *timeline)
+		fmt.Print(sim.FormatTimeline(tl, *timeline))
 	}
 
 	if rootSp != nil {
@@ -192,7 +189,7 @@ func main() {
 		}
 		fmt.Printf("\nspans: %d -> %s (open in ui.perfetto.dev)\n", len(td.Spans), *spanOut)
 	}
-	if col != nil {
+	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fatal(err)
@@ -211,6 +208,7 @@ func main() {
 		// Prometheus text exposition — the same format mssrv's /metrics
 		// serves, so one set of parsing/alerting rules covers both.
 		fmt.Printf("\nmetrics:\n")
+		obs.RecordSimMetrics(reg, col.Events)
 		if err := reg.WritePrometheus(os.Stdout); err != nil {
 			fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // ChromeEvent is one entry of the Chrome trace-event format (the JSON
@@ -36,19 +35,12 @@ func WriteChromeEvents(w io.Writer, events []ChromeEvent) error {
 	return json.NewEncoder(w).Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ns"})
 }
 
-// taskSpan accumulates the lifetime edges of one dynamic task until its
-// retire event closes it.
-type taskSpan struct {
-	task, pu                int
-	assign, start, complete int64
-}
-
 // WriteChromeTrace exports an event stream as Chrome trace-event JSON: one
 // thread ("track") per PU, one complete ("X") slice per dynamic task
 // spanning assign→retire, and instant events for squashes, restarts, ARB
 // overflows, mispredictions, sync waits, and register ring traffic. Open the
-// output in ui.perfetto.dev. The stream need not be cycle-sorted; slices are
-// emitted in retire order and instants in emission order.
+// output in ui.perfetto.dev. The stream need not be cycle-sorted; slices come
+// first, in TaskSpans order, then instants in emission order.
 func WriteChromeTrace(w io.Writer, events []Event, numPUs int) error {
 	if numPUs <= 0 {
 		return fmt.Errorf("obs: WriteChromeTrace wants a positive PU count, got %d", numPUs)
@@ -70,43 +62,31 @@ func WriteChromeTrace(w io.Writer, events []Event, numPUs int) error {
 			})
 	}
 
-	open := make(map[int]*taskSpan)
+	for _, sp := range TaskSpans(events) {
+		if !sp.Retired {
+			// The stream ended mid-flight: close the slice at its last known
+			// edge so the trace remains self-consistent.
+			dur := max(sp.Start, sp.Complete) - sp.Assign
+			out = append(out, ChromeEvent{
+				Name: fmt.Sprintf("task %d (open)", sp.Task),
+				Ph:   "X", Ts: sp.Assign, Dur: max(dur, 1), Pid: 0, Tid: sp.PU,
+			})
+			continue
+		}
+		out = append(out, ChromeEvent{
+			Name: fmt.Sprintf("task %d", sp.Task),
+			Ph:   "X", Ts: sp.Assign, Dur: max(sp.Retire-sp.Assign, 1), Pid: 0, Tid: sp.PU,
+			Args: map[string]any{
+				"seq":      sp.Seq,
+				"instrs":   sp.Instrs,
+				"start":    sp.Start,
+				"complete": sp.Complete,
+				"retire":   sp.Retire,
+			},
+		})
+	}
 	for _, e := range events {
 		switch e.Kind {
-		case EvTaskAssign:
-			open[e.Seq] = &taskSpan{task: e.Task, pu: e.PU, assign: e.Cycle}
-		case EvTaskStart:
-			if sp := open[e.Seq]; sp != nil {
-				sp.start = e.Cycle
-			}
-		case EvTaskComplete:
-			if sp := open[e.Seq]; sp != nil {
-				sp.complete = e.Cycle
-			}
-		case EvTaskRetire:
-			sp := open[e.Seq]
-			if sp == nil {
-				// A retire without an assign (truncated stream): render a
-				// zero-length slice at the retire cycle so nothing is lost.
-				sp = &taskSpan{task: e.Task, pu: e.PU, assign: e.Cycle,
-					start: e.Cycle, complete: e.Cycle}
-			}
-			delete(open, e.Seq)
-			dur := e.Cycle - sp.assign
-			if dur < 1 {
-				dur = 1
-			}
-			out = append(out, ChromeEvent{
-				Name: fmt.Sprintf("task %d", sp.task),
-				Ph:   "X", Ts: sp.assign, Dur: dur, Pid: 0, Tid: sp.pu,
-				Args: map[string]any{
-					"seq":      e.Seq,
-					"instrs":   e.Arg,
-					"start":    sp.start,
-					"complete": sp.complete,
-					"retire":   e.Cycle,
-				},
-			})
 		case EvSquash, EvRestart, EvARBOverflow, EvMispredict, EvSyncWait,
 			EvRegForward, EvRegRelease:
 			out = append(out, ChromeEvent{
@@ -116,27 +96,5 @@ func WriteChromeTrace(w io.Writer, events []Event, numPUs int) error {
 			})
 		}
 	}
-	// Tasks still open (stream ended mid-flight) are closed at their last
-	// known edge so the trace remains self-consistent.
-	var dangling []*taskSpan
-	for _, sp := range open {
-		dangling = append(dangling, sp)
-	}
-	sort.Slice(dangling, func(i, j int) bool { return dangling[i].assign < dangling[j].assign })
-	for _, sp := range dangling {
-		end := sp.complete
-		if sp.start > end {
-			end = sp.start
-		}
-		dur := end - sp.assign
-		if dur < 1 {
-			dur = 1
-		}
-		out = append(out, ChromeEvent{
-			Name: fmt.Sprintf("task %d (open)", sp.task),
-			Ph:   "X", Ts: sp.assign, Dur: dur, Pid: 0, Tid: sp.pu,
-		})
-	}
-
 	return WriteChromeEvents(w, out)
 }

@@ -23,11 +23,13 @@ type Kind uint8
 
 const (
 	// EvTaskAssign: the sequencer assigned a dynamic task to a PU
-	// (Cycle = assign time, Arg unused).
+	// (Cycle = assign time, Arg = the instance's exit target, encoded by the
+	// producer; sim.TimelineOf decodes the simulator's).
 	EvTaskAssign Kind = iota
 	// EvTaskStart: execution began after the task descriptor fetch.
 	EvTaskStart
-	// EvTaskComplete: the last instruction of the task finished.
+	// EvTaskComplete: the last instruction of the task finished (Arg = the
+	// instance's inter-task data wait cycles, squashed attempts included).
 	EvTaskComplete
 	// EvTaskRetire: the task retired, in order, including end overhead
 	// (Arg = dynamic instruction count).

@@ -376,6 +376,12 @@ func TestBadRequests(t *testing.T) {
 		{"huge machine max_targets", "/v1/simulate", `{"workload":"fpppp","machine":{"max_targets":17}}`, 400, "invalid_request"},
 		{"huge l1d_banks", "/v1/simulate", `{"workload":"fpppp","machine":{"l1d_banks":65}}`, 400, "invalid_request"},
 		{"huge select max_targets", "/v1/simulate", `{"workload":"fpppp","select":{"max_targets":17}}`, 400, "invalid_request"},
+		{"huge call_thresh", "/v1/simulate", `{"workload":"fpppp","select":{"call_thresh":1025}}`, 400, "invalid_request"},
+		{"huge loop_thresh", "/v1/simulate", `{"workload":"fpppp","select":{"task_size":true,"loop_thresh":1000000000}}`, 400, "invalid_request"},
+		{"huge size_budget", "/v1/simulate", `{"workload":"fpppp","select":{"policy":"greedy","size_budget":1025}}`, 400, "invalid_request"},
+		{"negative loop_thresh", "/v1/simulate", `{"workload":"fpppp","select":{"loop_thresh":-1}}`, 400, "invalid_request"},
+		{"huge comm_budget", "/v1/simulate", `{"workload":"fpppp","select":{"policy":"greedy","comm_budget":65}}`, 400, "invalid_request"},
+		{"partition huge loop_thresh", "/v1/partition", `{"workload":"fpppp","select":{"task_size":true,"loop_thresh":1025}}`, 400, "invalid_request"},
 		{"partition unknown workload", "/v1/partition", `{"workload":"nope"}`, 400, "unknown_workload"},
 		{"partition bad heuristic", "/v1/partition", `{"workload":"fpppp","select":{"heuristic":"xx"}}`, 400, "invalid_request"},
 		{"unknown experiment", "/v1/experiment", `{"name":"fig9"}`, 400, "invalid_request"},

@@ -8,6 +8,7 @@ import (
 	"multiscalar/internal/dist"
 	"multiscalar/internal/experiment"
 	"multiscalar/internal/gen"
+	"multiscalar/internal/ir"
 	"multiscalar/internal/sim"
 	"multiscalar/internal/verify"
 	"multiscalar/internal/workloads"
@@ -49,14 +50,19 @@ func (o SelectOptions) core() (core.Options, error) {
 	default:
 		return core.Options{}, fmt.Errorf("unknown heuristic %q (want bb, cf, or dd)", o.Heuristic)
 	}
-	if o.MaxTargets < 0 || o.CallThresh < 0 || o.LoopThresh < 0 {
-		return core.Options{}, fmt.Errorf("select thresholds must be non-negative")
-	}
-	if o.MaxTargets > maxTargets {
-		return core.Options{}, fmt.Errorf("max_targets %d above the limit %d", o.MaxTargets, maxTargets)
-	}
-	if o.SizeBudget < 0 || o.CommBudget < 0 {
-		return core.Options{}, fmt.Errorf("policy budgets must be non-negative")
+	for _, f := range []struct {
+		name       string
+		val, limit int
+	}{
+		{"max_targets", o.MaxTargets, maxTargets},
+		{"call_thresh", o.CallThresh, maxThresh},
+		{"loop_thresh", o.LoopThresh, maxThresh},
+		{"size_budget", o.SizeBudget, maxThresh},
+		{"comm_budget", o.CommBudget, maxCommBudget},
+	} {
+		if f.val < 0 || f.val > f.limit {
+			return core.Options{}, fmt.Errorf("%s %d out of range [0,%d]", f.name, f.val, f.limit)
+		}
 	}
 	if err := validatePolicy(o.Policy); err != nil {
 		return core.Options{}, err
@@ -105,14 +111,18 @@ type MachineConfig struct {
 	L1DBanks int `json:"l1d_banks,omitempty"`
 }
 
-// Upper bounds on the machine point: a request is rejected up front rather
-// than tying a worker to an absurd simulation, or minting a fresh cache key
-// for every out-of-range value.
+// Upper bounds on the selection options and the machine point: a request is
+// rejected up front rather than tying a worker to an absurd selection or
+// simulation, or minting a fresh cache key for every out-of-range value.
+// The thresholds matter most: with task_size, loop_thresh sets how many
+// copies of a loop body the unroller makes.
 const (
-	maxPUs     = 64
-	maxRingBW  = 64
-	maxBanks   = 64
-	maxTargets = 16 // the ablations sweep up to 8
+	maxPUs        = 64
+	maxRingBW     = 64
+	maxBanks      = 64
+	maxTargets    = 16         // the ablations sweep up to 8
+	maxThresh     = 1024       // call_thresh, loop_thresh, size_budget; the ablations sweep up to 90
+	maxCommBudget = ir.NumRegs // a task cannot define more registers than exist
 )
 
 func (m MachineConfig) config() (sim.Config, error) {

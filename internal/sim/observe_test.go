@@ -3,17 +3,31 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 
 	"multiscalar/internal/core"
 	"multiscalar/internal/obs"
+	"multiscalar/internal/workloads"
 )
 
+// observe runs one simulation with a Collector attached and returns the
+// result with its event stream.
+func observe(t testing.TB, part *core.Partition, cfg Config) (*Result, []obs.Event) {
+	t.Helper()
+	col := &obs.Collector{}
+	res, err := RunObserved(part, cfg, col)
+	if err != nil {
+		t.Fatalf("sim.RunObserved: %v", err)
+	}
+	return res, col.Events
+}
+
 // TestRunObservedMatchesRun asserts the instrumentation contract: attaching
-// a tracer and a metrics registry changes nothing about the simulation —
-// every Result field (cycles, breakdown, architectural state) is identical
-// to an unobserved run.
+// a tracer changes nothing about the simulation — every Result field
+// (cycles, breakdown, architectural state) is identical to an unobserved
+// run.
 func TestRunObservedMatchesRun(t *testing.T) {
 	for _, prog := range []struct {
 		name string
@@ -27,10 +41,7 @@ func TestRunObservedMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		observed, err := RunObserved(prog.part, cfg, Observer{
-			Tracer:  &obs.Collector{},
-			Metrics: obs.NewRegistry(),
-		})
+		observed, err := RunObserved(prog.part, cfg, &obs.Collector{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,12 +49,12 @@ func TestRunObservedMatchesRun(t *testing.T) {
 			t.Errorf("%s: observed run diverged from plain run:\nplain:    %+v\nobserved: %+v",
 				prog.name, plain, observed)
 		}
-		zero, err := RunObserved(prog.part, cfg, Observer{})
+		zero, err := RunObserved(prog.part, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(plain, zero) {
-			t.Errorf("%s: zero-observer run diverged from plain run", prog.name)
+			t.Errorf("%s: nil-tracer run diverged from plain run", prog.name)
 		}
 	}
 }
@@ -55,7 +66,7 @@ func TestTraceEventCounts(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.SyncTable = false // maximize violations
 	col := &obs.Collector{}
-	res, err := RunObserved(part, cfg, Observer{Tracer: col})
+	res, err := RunObserved(part, cfg, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +123,7 @@ func TestTraceDeterministic(t *testing.T) {
 	cfg := DefaultConfig(4)
 	run := func() []obs.Event {
 		col := &obs.Collector{}
-		if _, err := RunObserved(part, cfg, Observer{Tracer: col}); err != nil {
+		if _, err := RunObserved(part, cfg, col); err != nil {
 			t.Fatal(err)
 		}
 		return col.Events
@@ -131,7 +142,7 @@ func TestChromeExportEndToEnd(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.SyncTable = false
 	col := &obs.Collector{}
-	res, err := RunObserved(part, cfg, Observer{Tracer: col})
+	res, err := RunObserved(part, cfg, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,15 +185,13 @@ func TestChromeExportEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSimMetricsPopulated checks the cycle-accounting histograms fill from a
-// real run and agree with the Result aggregates.
+// TestSimMetricsPopulated checks the cycle-accounting histograms, computed
+// from a real run's events, agree with the Result aggregates.
 func TestSimMetricsPopulated(t *testing.T) {
 	part := partition(t, memDepProg(t), core.ControlFlow)
+	res, events := observe(t, part, DefaultConfig(4))
 	reg := obs.NewRegistry()
-	res, err := RunObserved(part, DefaultConfig(4), Observer{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	obs.RecordSimMetrics(reg, events)
 	snap := reg.Snapshot()
 	byName := make(map[string]obs.MetricSnapshot)
 	for _, m := range snap.Metrics {
@@ -215,5 +224,51 @@ func TestSimMetricsPopulated(t *testing.T) {
 	}
 	if byName["sim_forward_lead_cycles"].Count == 0 {
 		t.Error("sim_forward_lead_cycles never observed (no register traffic?)")
+	}
+}
+
+// TestEventDerivedGolden pins the event-derived timeline and metrics catalog
+// byte for byte to files captured from the simulator when it still recorded
+// both inside the timing loop (per-task TaskRecord appends and in-loop
+// histogram updates): compress on the paper's 4-PU machine, and the memDep
+// fixture with the synchronization table off so squashes are non-zero.
+func TestEventDerivedGolden(t *testing.T) {
+	w, err := workloads.ByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compress, err := core.Select(w.Build(), core.Options{Heuristic: core.ControlFlow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noSync := DefaultConfig(4)
+	noSync.SyncTable = false
+	for _, c := range []struct {
+		name string
+		part *core.Partition
+		cfg  Config
+	}{
+		{"compress_cf_4pu", compress, DefaultConfig(4)},
+		{"memdep_nosync_4pu", partition(t, memDepProg(t), core.ControlFlow), noSync},
+	} {
+		res, events := observe(t, c.part, c.cfg)
+		if c.name == "memdep_nosync_4pu" && res.Restarts == 0 {
+			t.Fatal("memDep fixture produced no restarts; the squash metrics are vacuous")
+		}
+		reg := obs.NewRegistry()
+		obs.RecordSimMetrics(reg, events)
+		for _, g := range []struct{ suffix, got string }{
+			{"timeline", FormatTimeline(TimelineOf(events), 8)},
+			{"metrics", reg.Snapshot().Text()},
+		} {
+			path := "testdata/" + c.name + "." + g.suffix + ".txt"
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.got != string(want) {
+				t.Errorf("%s: event-derived output differs from the golden file:\ngot:\n%s\nwant:\n%s", path, g.got, want)
+			}
+		}
 	}
 }

@@ -5,28 +5,50 @@ import (
 	"strings"
 
 	"multiscalar/internal/core"
+	"multiscalar/internal/ir"
+	"multiscalar/internal/obs"
 )
 
-// TaskRecord captures the lifetime of one dynamic task instance when
-// Config.RecordTimeline is set.
-type TaskRecord struct {
-	Seq      int   // dynamic sequence number (program order)
-	TaskID   int   // static task identity
-	PU       int   // processing unit (Seq mod NumPUs)
-	Assign   int64 // cycle the sequencer assigned the task
-	Start    int64 // cycle execution began (after descriptor fetch)
-	Complete int64 // cycle the last instruction finished
-	Retire   int64 // cycle the task retired (includes end overhead)
-	Instrs   int   // dynamic instructions
-	Exit     core.Target
-	// Mispredicted marks that this task's *successor* was mispredicted.
-	Mispredicted bool
-	// Restarts counts memory dependence squashes of this instance.
-	Restarts int
+// Timeline is the per-run task record sequence, in retire order.
+type Timeline []obs.TaskSpan
+
+// TimelineOf rebuilds the timeline of a run from the events RunObserved
+// emitted. Instances the stream ended before retiring are left out.
+func TimelineOf(events []obs.Event) Timeline {
+	spans := obs.TaskSpans(events)
+	n := 0
+	for n < len(spans) && spans[n].Retired { // retired spans come first
+		n++
+	}
+	return spans[:n]
 }
 
-// Timeline is the per-run record sequence (nil unless recording).
-type Timeline []TaskRecord
+// encodeExit packs an exit target into an event Arg: the kind in the low
+// byte, the block (TargetBlock) or callee (TargetCall) above it. It encodes
+// the target itself, not its index, since an exit need not be a listed
+// target.
+func encodeExit(t core.Target) int64 {
+	var id int64
+	switch t.Kind {
+	case core.TargetBlock:
+		id = int64(t.Blk)
+	case core.TargetCall:
+		id = int64(t.Fn)
+	}
+	return id<<8 | int64(t.Kind)
+}
+
+// decodeExit inverts encodeExit.
+func decodeExit(arg int64) core.Target {
+	t := core.Target{Kind: core.TargetKind(arg & 0xff)}
+	switch t.Kind {
+	case core.TargetBlock:
+		t.Blk = ir.BlockID(arg >> 8)
+	case core.TargetCall:
+		t.Fn = ir.FnID(arg >> 8)
+	}
+	return t
+}
 
 // FormatTimeline renders up to max records as a text Gantt chart: one row
 // per task, columns assign/start/complete/retire, plus a proportional bar.
@@ -70,8 +92,8 @@ func FormatTimeline(tl Timeline, max int) string {
 			flag = "!"
 		}
 		fmt.Fprintf(&sb, "%4d %4d%s %3d %8d %8d %8d %8d %6d %5s |%s|\n",
-			rec.Seq, rec.TaskID, flag, rec.PU, rec.Assign, rec.Start, rec.Complete,
-			rec.Retire, rec.Instrs, rec.Exit, string(bar))
+			rec.Seq, rec.Task, flag, rec.PU, rec.Assign, rec.Start, rec.Complete,
+			rec.Retire, rec.Instrs, decodeExit(rec.Exit), string(bar))
 	}
 	return sb.String()
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -8,17 +9,19 @@ import (
 	"multiscalar/internal/ir"
 )
 
+// TestTimelineRecording checks the timeline rebuilt from a run's events
+// against the Result: one record per task instance in program order, the
+// last retire at the run's cycle count, and the per-task inter-task waits
+// summing to the breakdown's.
 func TestTimelineRecording(t *testing.T) {
 	part := partition(t, vecSum(t, 50), core.ControlFlow)
-	cfg := DefaultConfig(4)
-	cfg.RecordTimeline = true
-	res := runSim(t, part, cfg)
-	if uint64(len(res.Timeline)) != res.TaskInstances {
-		t.Fatalf("timeline has %d records, %d instances", len(res.Timeline), res.TaskInstances)
+	res, events := observe(t, part, DefaultConfig(4))
+	tl := TimelineOf(events)
+	if uint64(len(tl)) != res.TaskInstances {
+		t.Fatalf("timeline has %d records, %d instances", len(tl), res.TaskInstances)
 	}
-	var prevRetire, prevAssign int64
-	total := 0
-	for i, rec := range res.Timeline {
+	var prevRetire, prevAssign, total, wait int64
+	for i, rec := range tl {
 		if rec.Seq != i {
 			t.Errorf("record %d has seq %d", i, rec.Seq)
 		}
@@ -38,45 +41,75 @@ func TestTimelineRecording(t *testing.T) {
 		prevRetire = rec.Retire
 		prevAssign = rec.Assign
 		total += rec.Instrs
+		wait += rec.InterTaskWait
 	}
 	if uint64(total) != res.Instrs {
 		t.Errorf("timeline instrs %d != result %d", total, res.Instrs)
 	}
-	if last := res.Timeline[len(res.Timeline)-1]; last.Retire != res.Cycles {
+	if last := tl[len(tl)-1]; last.Retire != res.Cycles {
 		t.Errorf("last retire %d != total cycles %d", last.Retire, res.Cycles)
 	}
+	if wait != res.Breakdown.InterTaskWait {
+		t.Errorf("per-task inter-task waits sum to %d, breakdown has %d", wait, res.Breakdown.InterTaskWait)
+	}
 }
 
+// TestTimelineOffByDefault: an unobserved run carries no per-task records,
+// so results (cache artifacts, /v1/simulate bodies) stay one size whatever
+// the run length.
 func TestTimelineOffByDefault(t *testing.T) {
 	part := partition(t, vecSum(t, 20), core.ControlFlow)
-	res := runSim(t, part, DefaultConfig(4))
-	if res.Timeline != nil {
-		t.Error("timeline recorded without RecordTimeline")
+	blob, err := json.Marshal(runSim(t, part, DefaultConfig(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(blob), "Timeline") {
+		t.Errorf("plain result encodes a timeline: %s", blob)
 	}
 }
 
+// TestTimelineMispredictFlags checks mispredict and restart marks survive
+// the trip through the event stream.
 func TestTimelineMispredictFlags(t *testing.T) {
-	part := partition(t, vecSum(t, 50), core.ControlFlow)
-	cfg := DefaultConfig(4)
-	cfg.RecordTimeline = true
-	res := runSim(t, part, cfg)
-	flagged := uint64(0)
-	for _, rec := range res.Timeline {
-		if rec.Mispredicted {
-			flagged++
+	for _, prog := range []*ir.Program{vecSum(t, 50), memDepProg(t)} {
+		cfg := DefaultConfig(4)
+		cfg.SyncTable = false
+		res, events := observe(t, partition(t, prog, core.ControlFlow), cfg)
+		var flagged, restarts uint64
+		for _, rec := range TimelineOf(events) {
+			if rec.Mispredicted {
+				flagged++
+			}
+			restarts += uint64(rec.Restarts)
+		}
+		if flagged != res.CtrlMispredicts {
+			t.Errorf("%s: %d flagged records, %d mispredicts", prog.Name, flagged, res.CtrlMispredicts)
+		}
+		if restarts != res.Restarts {
+			t.Errorf("%s: records count %d restarts, result %d", prog.Name, restarts, res.Restarts)
 		}
 	}
-	if flagged != res.CtrlMispredicts {
-		t.Errorf("%d flagged records, %d mispredicts", flagged, res.CtrlMispredicts)
+}
+
+// TestExitEncoding round-trips every target kind through an event Arg.
+func TestExitEncoding(t *testing.T) {
+	for _, tgt := range []core.Target{
+		{Kind: core.TargetBlock, Blk: 0},
+		{Kind: core.TargetBlock, Blk: 1 << 30},
+		{Kind: core.TargetCall, Fn: 7},
+		{Kind: core.TargetReturn},
+		{Kind: core.TargetHalt},
+	} {
+		if got := decodeExit(encodeExit(tgt)); got != tgt {
+			t.Errorf("exit %v decoded as %v", tgt, got)
+		}
 	}
 }
 
 func TestFormatTimeline(t *testing.T) {
 	part := partition(t, vecSum(t, 30), core.ControlFlow)
-	cfg := DefaultConfig(2)
-	cfg.RecordTimeline = true
-	res := runSim(t, part, cfg)
-	out := FormatTimeline(res.Timeline, 5)
+	_, events := observe(t, part, DefaultConfig(2))
+	out := FormatTimeline(TimelineOf(events), 5)
 	if !strings.Contains(out, "activity") {
 		t.Errorf("missing header:\n%s", out)
 	}
@@ -92,7 +125,7 @@ func TestFormatTimeline(t *testing.T) {
 // not choke on: a single record (span collapses to one cycle), max larger
 // than the record count, and max <= 0 meaning "all".
 func TestFormatTimelineEdges(t *testing.T) {
-	one := Timeline{{Seq: 0, TaskID: 3, PU: 1, Assign: 10, Start: 10, Complete: 10, Retire: 10, Instrs: 1}}
+	one := Timeline{{Seq: 0, Task: 3, PU: 1, Assign: 10, Start: 10, Complete: 10, Retire: 10, Instrs: 1}}
 	out := FormatTimeline(one, 1)
 	if got := strings.Count(out, "\n"); got != 2 { // header + 1 row
 		t.Errorf("single zero-span record: rows = %d, want 2:\n%s", got, out)
@@ -122,10 +155,8 @@ func TestFormatTimelineEdges(t *testing.T) {
 
 func TestUtilizationRange(t *testing.T) {
 	part := partition(t, vecSum(t, 80), core.ControlFlow)
-	cfg := DefaultConfig(4)
-	cfg.RecordTimeline = true
-	res := runSim(t, part, cfg)
-	u := res.Timeline.Utilization(4)
+	_, events := observe(t, part, DefaultConfig(4))
+	u := TimelineOf(events).Utilization(4)
 	if u <= 0 || u > 1 {
 		t.Errorf("utilization %v out of (0,1]", u)
 	}

@@ -29,11 +29,12 @@
 // reruns skip simulation entirely.
 //
 // Observability lives in internal/obs (exported here as Tracer, Metrics, and
-// friends): SimulateObserved streams cycle-stamped events to a Tracer and
-// populates a Metrics registry without perturbing the simulated machine — an
-// observed run returns a Result identical to Simulate's — and
-// WriteChromeTrace exports collected events as a Chrome trace-event /
-// Perfetto JSON file. See DESIGN.md §9.
+// friends): SimulateObserved streams cycle-stamped events to a Tracer
+// without perturbing the simulated machine — an observed run returns a
+// Result identical to Simulate's — and everything else is computed from the
+// collected events: RecordSimMetrics fills a Metrics registry and
+// WriteChromeTrace exports a Chrome trace-event / Perfetto JSON file. See
+// DESIGN.md §9.
 //
 // Beyond the 18 fixed benchmarks, Generate builds property-based workloads
 // from a seed and shape parameters (internal/gen, exported with the Gen
@@ -169,23 +170,24 @@ type (
 	// MetricsSnapshot is a point-in-time, deterministically ordered view of
 	// a Metrics registry.
 	MetricsSnapshot = obs.Snapshot
-	// Observer bundles the optional Tracer and Metrics for an observed
-	// simulation; the zero value observes nothing.
-	Observer = sim.Observer
 )
 
-// NewMetrics returns an empty metrics registry. Pass it to SimulateObserved
-// (via Observer) or to a grid engine (GridOptions.Metrics) and read it back
-// with Snapshot.
+// NewMetrics returns an empty metrics registry. Fill it with
+// RecordSimMetrics or hand it to a grid engine (GridOptions.Metrics), and
+// read it back with Snapshot.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
-// SimulateObserved is Simulate plus observability: events stream to
-// o.Tracer and simulator histograms populate o.Metrics as the run executes.
-// Observation never changes timing — the returned Result is identical to
-// Simulate's for the same inputs.
-func SimulateObserved(part *Partition, cfg Config, o Observer) (*Result, error) {
-	return sim.RunObserved(part, cfg, o)
+// SimulateObserved is Simulate with a Tracer attached: the run's events
+// stream to tracer (the simulator's only observation sink). Observation
+// never changes timing — the returned Result is identical to Simulate's for
+// the same inputs.
+func SimulateObserved(part *Partition, cfg Config, tracer Tracer) (*Result, error) {
+	return sim.RunObserved(part, cfg, tracer)
 }
+
+// RecordSimMetrics adds the simulator's cycle-accounting histograms and
+// counters (DESIGN.md §9), computed from a collected event stream, to m.
+func RecordSimMetrics(m *Metrics, events []TraceEvent) { obs.RecordSimMetrics(m, events) }
 
 // WriteChromeTrace writes collected events as Chrome trace-event / Perfetto
 // JSON (one track per PU, a slice per dynamic task, instant markers for

@@ -245,7 +245,7 @@ func TestPublicObservability(t *testing.T) {
 
 	col := &multiscalar.TraceCollector{}
 	reg := multiscalar.NewMetrics()
-	observed, err := multiscalar.SimulateObserved(part, cfg, multiscalar.Observer{Tracer: col, Metrics: reg})
+	observed, err := multiscalar.SimulateObserved(part, cfg, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,6 +270,7 @@ func TestPublicObservability(t *testing.T) {
 		t.Error("trace has no events")
 	}
 
+	multiscalar.RecordSimMetrics(reg, col.Events)
 	snap := reg.Snapshot()
 	if len(snap.Metrics) == 0 {
 		t.Fatal("metrics snapshot is empty")
